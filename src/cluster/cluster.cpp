@@ -136,6 +136,7 @@ bool ServingCluster::Push(const TimedRequest& request,
 
 bool ServingCluster::PushImpl(const TimedRequest& request, MatrixF input,
                               bool has_input) {
+  CheckTimedRequest(request, "ServingCluster::Push");
   if (routing_.offered > 0 && request.arrival_s < last_arrival_) {
     throw std::invalid_argument(
         "ServingCluster::Push: arrivals must be non-decreasing (got " +

@@ -122,8 +122,9 @@ class ServingCluster {
 
   /// Routes one request, optionally with a caller-provided embedding
   /// (length x hidden).  Returns false when it was rejected (every
-  /// routable replica full, or the fleet offline).  Arrivals must be
-  /// non-decreasing in time.
+  /// routable replica full, or the fleet offline).  Throws
+  /// std::invalid_argument, before any counter moves, on a request that
+  /// breaks CheckTimedRequest or arrives before its predecessor.
   bool Push(const TimedRequest& request,
             std::optional<MatrixF> input = std::nullopt);
 

@@ -1,6 +1,7 @@
 #include "serve/batch_former.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -13,10 +14,11 @@ ConfigIssues CheckBatchFormerConfig(const BatchFormerConfig& cfg) {
              "must be >= 1 (the former needs capacity for at least one "
              "request)");
   }
-  // Negated comparison so NaN fails validation instead of slipping past.
-  if (!(cfg.timeout_s >= 0)) {
+  // Finite: an open batch must come due, or a stream's tail never seals.
+  if (!(std::isfinite(cfg.timeout_s) && cfg.timeout_s >= 0)) {
     AddIssue(issues, "timeout_s",
-             "must be >= 0 (got " + std::to_string(cfg.timeout_s) + ")");
+             "must be finite and >= 0 (got " + std::to_string(cfg.timeout_s) +
+                 ")");
   }
   return issues;
 }

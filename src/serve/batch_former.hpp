@@ -42,12 +42,13 @@ struct BatchFormerConfig {
   bool sort_by_length = false;
 };
 
-/// Names every illegal field (zero capacity, negative or NaN timeout);
+/// Names every illegal field (zero capacity, negative or non-finite
+/// timeout);
 /// empty means legal.
 ConfigIssues CheckBatchFormerConfig(const BatchFormerConfig& cfg);
 
 /// Throws std::invalid_argument when the former configuration is malformed
-/// (zero capacity, negative or NaN timeout).
+/// (zero capacity, negative or non-finite timeout).
 void ValidateBatchFormerConfig(const BatchFormerConfig& cfg);
 
 /// One formed batch: trace indices in dispatch order plus seal accounting.

@@ -84,8 +84,9 @@ struct ServingEngineConfig {
   /// deterministic virtual-time numbers matter.
   bool execute = true;
   /// Deterministic per-batch service time for the virtual-time report;
-  /// empty picks a token-linear default.  Use AcceleratorServiceModel
-  /// (fpga/serving.hpp) to account exactly like the performance twin.
+  /// empty picks a token-linear default.  Build a kAccelerator
+  /// ServiceModelSpec (serve/service_model.hpp) to account exactly like
+  /// the performance twin.
   BatchServiceModel service;
   /// Request-result cache in front of batch forming (disabled by
   /// default).  A cluster may override this with a fleet-shared store.
@@ -97,9 +98,11 @@ struct ServingEngineConfig {
   /// BackendMode::kSharded.
   ShardServiceConfig shard;
   /// SLO-driven admission/degradation layer (adapt/controller.hpp).
-  /// Disabled by default; when enabled the engine forms per-tier batches,
-  /// escalates uncertain cheap-tier results to tier 0 and sheds only as a
-  /// last resort.  Incompatible with the result cache.
+  /// Disabled by default: the engine then serves a one-tier ladder (the
+  /// configured top_k at full accuracy, no controller, no escalation).
+  /// When enabled it forms per-tier batches, escalates uncertain
+  /// cheap-tier results to tier 0 and sheds only as a last resort.
+  /// Incompatible with the result cache.
   AdaptiveServingConfig adapt;
   /// Per-tier service models, parallel to `adapt.tiers` (build with
   /// BuildTierServiceModels, serve/service_model.hpp).  Empty = every tier
@@ -215,7 +218,8 @@ class ServingEngine {
   /// synthesized from (embed_seed, Push ordinal) -- or from
   /// (embed_seed, id) when the request carries a content identity.
   /// Returns false when the bounded queue rejects (adaptive: sheds) it.
-  /// Arrivals must be non-decreasing in time.
+  /// Throws std::invalid_argument, before any counter moves, on a request
+  /// that breaks CheckTimedRequest or arrives before its predecessor.
   bool Push(const TimedRequest& request,
             std::optional<MatrixF> input = std::nullopt);
 
@@ -247,11 +251,13 @@ class ServingEngine {
     return controller_ ? controller_->level() : 0;
   }
 
-  /// Advances virtual time to `now` without offering a request: seals a
-  /// timed-out open batch, launches sealed batches whose dispatch time has
-  /// passed and retires completed ones.  Routers call this on every
-  /// replica before reading queue_depth() / outstanding_tokens(), so load
-  /// signals are comparable across replicas at the arrival instant.
+  /// Advances virtual time to `now` without offering a request: seals
+  /// open batches whose deadline lies strictly before `now` (a request
+  /// arriving exactly at a deadline still joins, as in FormBatches),
+  /// launches sealed batches whose dispatch time has passed and retires
+  /// completed ones.  Routers call this on every replica before reading
+  /// queue_depth() / outstanding_tokens(), so load signals are comparable
+  /// across replicas at the arrival instant.
   /// Idempotent; a `now` earlier than the last observed time is a no-op.
   /// With a cache, completed batches also publish their entries here, so
   /// repeats arriving after a leader's virtual completion hit.
@@ -307,10 +313,22 @@ class ServingEngine {
   const BatchRunner& runner() const { return runner_; }
 
  private:
-  bool PushImpl(const TimedRequest& request, MatrixF input);
   CacheKey KeyFor(const TimedRequest& request, const MatrixF& input) const;
-  void SealOpen(BatchSeal seal, double ready_s);
-  void ProcessCacheCompletions(double now);
+  /// Appends one admitted entry to `tier`'s open batch, sealing on token
+  /// budget (before it joins) and capacity (after).  `root_arrival` is the
+  /// offered arrival an escalated re-run is timed from.
+  void Admit(std::size_t tier, const TimedRequest& request, MatrixF input,
+             std::size_t ordinal, double root_arrival, bool escalate,
+             CacheKey key);
+  void Seal(std::size_t tier, BatchSeal seal, double ready_s);
+  /// The virtual-time event loop: batch completions (cache publication,
+  /// escalation re-injection, latency recording), timeout seals, FIFO
+  /// launches and controller epochs, strictly in time order up to `now`.
+  /// `now` = +inf drains: the loop runs to quiescence (epochs fire only
+  /// while real work remains, so it terminates).
+  void RunEvents(double now);
+  void Launch(std::size_t worker, double launch_s);
+  void Complete(std::size_t in_service_pos);
   void CompleteAdmitted(std::size_t idx, double done_s);
   void ResetStream();
 
@@ -326,21 +344,8 @@ class ServingEngine {
   /// instants on the control track, per-batch service spans on the
   /// worker track the earliest-free recurrence picked.
   void EmitScheduleSpans(const DispatchSchedule& sched);
-
-  // Adaptive path (controller_ engaged).
-  bool PushAdaptive(const TimedRequest& request, MatrixF input,
-                    std::size_t ordinal);
-  void AdmitToTier(std::size_t tier, const TimedRequest& request,
-                   MatrixF input, std::size_t ordinal, double root_arrival,
-                   bool escalate);
-  void SealOpenTier(std::size_t tier, BatchSeal seal, double ready_s);
-  /// Runs the virtual-time event loop -- batch completions (escalation
-  /// re-injection, latency recording), timeout seals, FIFO launches and
-  /// controller epochs -- strictly in time order up to `now`.  In drain
-  /// mode it runs to quiescence instead (epochs fire only while real work
-  /// remains, so the loop terminates).
-  void RunAdaptiveEvents(double now, bool drain);
-  ServingResult DrainAdaptive();
+  /// Records the coalesced followers completed since the last call.
+  void TraceCoalesced();
 
   const ModelInstance& model_;
   ServingEngineConfig cfg_;
@@ -351,25 +356,51 @@ class ServingEngine {
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t track_base_ = 0;
 
-  // Stream state (virtual time).
+  // The service ladder, tier 0 first: cfg.adapt.tiers when the adaptive
+  // layer is enabled, else one full-quality tier priced by cfg.service.
+  std::vector<ServiceTier> tiers_;
+  std::vector<BatchServiceModel> tier_services_;  ///< parallel to tiers_
+  /// Collectives term of the sharded backend's price, for attributing
+  /// each sharded batch's interconnect tail as its own trace sub-span.
+  /// Empty unless backend == kSharded.
+  BatchServiceModel shard_comm_;
+  std::optional<AdaptiveController> controller_;  ///< adaptive layer only
+
+  // Stream state (virtual time), parallel to admitted_ unless noted.
   std::vector<TimedRequest> admitted_;
-  std::vector<MatrixF> inputs_;             ///< parallel to admitted_
-  std::vector<std::size_t> offered_ids_;    ///< parallel to admitted_
+  std::vector<MatrixF> inputs_;
+  std::vector<std::size_t> offered_ids_;
+  std::vector<std::size_t> tier_of_;
+  std::vector<double> root_arrival_;         ///< original arrival
+  std::vector<std::uint8_t> superseded_;     ///< first pass replaced by re-run
+  std::vector<std::uint8_t> escalate_flag_;  ///< probe said: re-run at tier 0
+  std::vector<CacheKey> admitted_keys_;      ///< cache enabled only
+  /// One open batch per tier (the tiers interleave, so members are
+  /// explicit admitted indices).
+  struct OpenBatch {
+    bool active = false;
+    double open_s = 0;
+    std::size_t tokens = 0;
+    std::vector<std::size_t> members;
+  };
+  std::vector<OpenBatch> open_;             ///< parallel to tiers_
   std::vector<FormedBatch> sealed_;         ///< incrementally formed
-  std::size_t open_start_ = 0;  ///< first admitted index of the open batch
-  bool open_active_ = false;
-  double open_s_ = 0;
-  std::size_t open_tokens_ = 0;
+  DispatchSchedule schedule_;               ///< per launched batch
   std::vector<double> worker_free_;
   std::size_t next_launch_ = 0;  ///< first unlaunched sealed batch
   std::size_t launched_ = 0;     ///< admitted requests already launched
+  /// Launched batches not yet completed in virtual time:
+  /// (done_s, sealed ordinal), processed earliest-first.
+  std::vector<std::pair<double, std::size_t>> in_service_;
   double last_arrival_ = 0;
   AdmissionStats admission_;
+  double planned_acc_sum_ = 0;         ///< accuracy-budget numerator
+  std::size_t planned_count_ = 0;      ///< accepted requests (denominator)
+  std::vector<TierUsage> tier_usage_;  ///< parallel to tiers_
 
   // Token accounting for routing introspection (virtual time).
   std::size_t waiting_tokens_ = 0;     ///< admitted, batch not launched
   std::size_t in_service_tokens_ = 0;  ///< launched, batch not done
-  std::vector<std::pair<double, std::size_t>> in_flight_;  ///< (done_s, tokens)
 
   // Cache layer (null/empty when disabled).
   std::shared_ptr<ResultCache> cache_;
@@ -377,41 +408,9 @@ class ServingEngine {
   InFlightTable inflight_;
   CacheStats cache_stats_;  ///< per-stream engine-side counters
   std::vector<CacheServedRequest> cache_served_;
-  std::vector<CacheKey> admitted_keys_;  ///< parallel to admitted_
-  /// Launched batches whose virtual completion has not been published to
-  /// the cache yet: (done_s, sealed ordinal).
-  std::vector<std::pair<double, std::size_t>> pending_done_;
+  std::size_t traced_served_ = 0;  ///< cache_served_ prefix already traced
   double cache_epoch_ = 0;      ///< virtual-clock offset across streams
   double last_completion_ = 0;  ///< latest completion seen this stream
-
-  // Adaptive layer (engaged only when cfg.adapt.enabled).
-  /// One per-tier open batch (the adaptive former interleaves tiers, so
-  /// members are explicit indices rather than a contiguous range).
-  struct OpenTier {
-    bool active = false;
-    double open_s = 0;
-    std::size_t tokens = 0;
-    std::vector<std::size_t> members;  ///< admitted indices
-  };
-  std::optional<AdaptiveController> controller_;
-  std::vector<BatchServiceModel> tier_services_;  ///< resolved per tier
-  /// Collectives term of the sharded backend's price, for attributing
-  /// each sharded batch's interconnect tail as its own trace sub-span.
-  /// Empty unless backend == kSharded.
-  BatchServiceModel shard_comm_;
-  std::vector<OpenTier> open_tiers_;
-  std::vector<std::size_t> tier_of_;       ///< parallel to admitted_
-  std::vector<double> root_arrival_;       ///< original arrival (escalation)
-  std::vector<std::uint8_t> superseded_;   ///< first pass replaced by re-run
-  std::vector<std::uint8_t> escalate_flag_;  ///< probe said: re-run at tier 0
-  /// Launched batches not yet completed in virtual time:
-  /// (done_s, sealed ordinal), processed earliest-first.
-  std::vector<std::pair<double, std::size_t>> completions_;
-  double planned_acc_sum_ = 0;     ///< accuracy-budget numerator
-  std::size_t planned_count_ = 0;  ///< accepted requests (denominator)
-  std::vector<std::size_t> tier_requests_;   ///< completions per tier
-  std::vector<std::size_t> tier_batches_;    ///< batches formed per tier
-  std::vector<std::size_t> tier_escalated_;  ///< first passes escalated
 };
 
 }  // namespace latte

@@ -8,6 +8,18 @@
 
 namespace latte {
 
+void CheckTimedRequest(const TimedRequest& request, std::string_view caller) {
+  if (!(std::isfinite(request.arrival_s) && request.arrival_s >= 0)) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": arrival_s must be finite and >= 0 (got " +
+                                std::to_string(request.arrival_s) + ")");
+  }
+  if (request.length == 0) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": length must be >= 1 (got 0)");
+  }
+}
+
 ConfigIssues CheckPoissonTraceConfig(const PoissonTraceConfig& cfg) {
   ConfigIssues issues;
   // Negated comparison so NaN fails validation instead of slipping past.

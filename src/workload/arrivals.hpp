@@ -10,6 +10,7 @@
 // original simulator sampled them.
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "config/check.hpp"
@@ -32,6 +33,11 @@ struct TimedRequest {
   /// default, what GeneratePoissonTrace emits) means unique content.
   std::uint64_t id = kAnonymousId;
 };
+
+/// The front-door contract of a pushed request: a finite arrival >= 0 and
+/// length >= 1.  Throws std::invalid_argument naming the field, prefixed
+/// with `caller` ("ServingEngine::Push: arrival_s must be ...").
+void CheckTimedRequest(const TimedRequest& request, std::string_view caller);
 
 /// Knobs of the Poisson trace generator.
 struct PoissonTraceConfig {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -362,6 +363,28 @@ TEST(ServingClusterTest, AllOfflineRejectsAsUnroutable) {
   EXPECT_EQ(res.routing.admitted, 1u);
   EXPECT_EQ(res.routing.rejected, 1u);
   EXPECT_EQ(res.routing.unroutable, 1u);
+}
+
+TEST(ServingClusterTest, RejectsMalformedRequestsBeforeCounting) {
+  ServingCluster cluster(SmallModel(),
+                         SmallCluster(2, RouterPolicy::kRoundRobin));
+  ASSERT_TRUE(cluster.Push({0.5, 16}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<TimedRequest> malformed = {
+      {nan, 16},
+      {inf, 16},
+      {-1.0, 16},
+      {1.0, 0},
+  };
+  for (const TimedRequest& bad : malformed) {
+    EXPECT_THROW(cluster.Push(bad), std::invalid_argument);
+    EXPECT_EQ(cluster.routing().offered, 1u);
+  }
+  EXPECT_TRUE(cluster.Push({1.0, 16}));
+  const ClusterResult res = cluster.Drain();
+  EXPECT_EQ(res.routing.offered, 2u);
+  EXPECT_EQ(res.routing.admitted, 2u);
 }
 
 TEST(ServingClusterTest, BackpressureReroutesToNextChoiceBeforeRejecting) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <unordered_set>
 
 #include "core/atsel_unit.hpp"
@@ -335,6 +336,19 @@ TEST(TraceTest, ChromeTraceContainsAllJobs) {
     pos += 1;
   }
   EXPECT_EQ(count, schedule.jobs.size());
+
+  // A job starting past 1 s keeps every digit: its ts parses back to
+  // start * 1e6 bit for bit.
+  ScheduleResult late;
+  TimedJob job;
+  job.start = 1.234567891;
+  job.end = 1.5;
+  late.jobs.push_back(job);
+  const std::string late_json = ToChromeTrace(late);
+  const std::size_t ts = late_json.find("\"ts\":");
+  ASSERT_NE(ts, std::string::npos);
+  EXPECT_EQ(std::strtod(late_json.c_str() + ts + 5, nullptr),
+            job.start * 1e6);
 }
 
 TEST(TraceTest, CsvHasHeaderAndOneLinePerJob) {

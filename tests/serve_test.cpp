@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -164,6 +165,14 @@ TEST(BatchFormerTest, ValidatesConfig) {
   EXPECT_NO_THROW(ValidateBatchFormerConfig(cfg));
 }
 
+TEST(BatchFormerTest, RejectsInfiniteTimeout) {
+  // A deadline at +inf never comes due, so a stream's trailing batch
+  // would never seal.
+  BatchFormerConfig cfg;
+  cfg.timeout_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ValidateBatchFormerConfig(cfg), std::invalid_argument);
+}
+
 // ------------------------------------------------------------ Dispatch --
 
 TEST(DispatchTest, SingleRequestLatencyIsTimeoutPlusService) {
@@ -310,7 +319,7 @@ TEST(ServingEngineTest, AgreesWithSimulatorOnSharedScenario) {
   const ServingReport sim = SimulateServing(BertBase(), Mrpc(), scenario);
 
   auto cfg = SmallEngineConfig();
-  cfg.former = ServingBatchFormer(scenario);
+  cfg.former = scenario.former;
   cfg.workers = scenario.workers;
   ServiceModelSpec spec;
   spec.base = ServiceModelSpec::Base::kAccelerator;
@@ -540,6 +549,59 @@ TEST(ServingEngineTest, ValidatesConfigAndPushArguments) {
   EXPECT_THROW(engine.Push({2.0, 16}, MakeInputEmbedding(rng, 8, hidden)),
                std::invalid_argument);
   (void)engine.Drain();
+}
+
+TEST(ServingEngineTest, RejectsMalformedRequestsBeforeCounting) {
+  ServingEngine engine(SmallModel(), SmallEngineConfig());
+  ASSERT_TRUE(engine.Push({0.5, 16}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<TimedRequest> malformed = {
+      {nan, 16},
+      {inf, 16},
+      {-1.0, 16},
+      {1.0, 0},
+  };
+  for (const TimedRequest& bad : malformed) {
+    EXPECT_THROW(engine.Push(bad), std::invalid_argument);
+    EXPECT_EQ(engine.admission().offered, 1u);
+  }
+  // The stream is intact: a later legal request is still in order.
+  EXPECT_TRUE(engine.Push({1.0, 16}));
+  const ServingResult res = engine.Drain();
+  EXPECT_EQ(res.report().requests, 2u);
+  EXPECT_TRUE(std::isfinite(res.report().p99_latency_s));
+}
+
+TEST(ServingEngineTest, ArrivalAtDeadlineJoinsTheOpenBatch) {
+  // FormBatches seals a batch only on an arrival strictly past its
+  // deadline, and every engine path must agree -- the default one-tier
+  // ladder and an adaptive ladder whose controller stays at level 0.
+  ServingEngineConfig plain = SmallEngineConfig();
+  plain.execute = false;
+  ServingEngineConfig adaptive = plain;
+  adaptive.adapt.enabled = true;
+  adaptive.adapt.epoch_s = 1.0;
+  adaptive.adapt.tiers = {ServiceTier{16, false, 1.0},
+                          ServiceTier{8, false, 0.95},
+                          ServiceTier{4, true, 0.85}};
+  const double timeout = plain.former.timeout_s;
+  const std::vector<TimedRequest> trace = {
+      {0.0, 16}, {timeout, 16}, {5 * timeout, 16}};
+  const auto expected = FormBatches(trace, plain.former);
+  ASSERT_EQ(expected.size(), 2u);
+  for (const ServingEngineConfig& cfg : {plain, adaptive}) {
+    SCOPED_TRACE(cfg.adapt.enabled ? "adaptive" : "plain");
+    ServingEngine engine(SmallModel(), cfg);
+    const ServingResult res = engine.Replay(trace);
+    ASSERT_EQ(res.batches.size(), expected.size());
+    for (std::size_t b = 0; b < expected.size(); ++b) {
+      EXPECT_EQ(res.batches[b].indices, expected[b].indices);
+      EXPECT_EQ(res.batches[b].open_s, expected[b].open_s);
+      EXPECT_EQ(res.batches[b].ready_s, expected[b].ready_s);
+      EXPECT_EQ(res.batches[b].seal, expected[b].seal);
+    }
+  }
 }
 
 }  // namespace
